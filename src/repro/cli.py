@@ -1012,21 +1012,24 @@ def _cmd_lineage_record(args: argparse.Namespace) -> int:
     factors = _parse_kv(args.factor, what="--factor")
     if factors:
         annotations["factors"] = factors
-    store = LineageStore(PerfDMF(args.db))
-    store.record(args.version, parents=args.parent or [],
-                 annotations=annotations)
-    for ref in args.trial or []:
-        app, exp, trial = _parse_trial_ref(ref)
-        store.attach_trial(args.version, app, exp, trial)
-    for ref in args.baseline or []:
-        app, exp, trial = _parse_trial_ref(ref)
-        store.attach_trial(args.version, app, exp, trial, role="baseline")
-    record = store.get(args.version)
-    parents = ", ".join(record.parents) or "(root)"
-    print(f"recorded {record.version_id} <- {parents} "
-          f"[code {record.code_version}, rulebase {record.rulebase_version}"
-          f", {len(record.trials)} trial(s)]")
-    return 0
+    with PerfDMF(args.db) as db:
+        store = LineageStore(db)
+        store.record(args.version, parents=args.parent or [],
+                     annotations=annotations)
+        for ref in args.trial or []:
+            app, exp, trial = _parse_trial_ref(ref)
+            store.attach_trial(args.version, app, exp, trial)
+        for ref in args.baseline or []:
+            app, exp, trial = _parse_trial_ref(ref)
+            store.attach_trial(args.version, app, exp, trial,
+                               role="baseline")
+        record = store.get(args.version)
+        parents = ", ".join(record.parents) or "(root)"
+        print(f"recorded {record.version_id} <- {parents} "
+              f"[code {record.code_version}, "
+              f"rulebase {record.rulebase_version}, "
+              f"{len(record.trials)} trial(s)]")
+        return 0
 
 
 @_regress_errors
@@ -1036,21 +1039,22 @@ def _cmd_lineage_log(args: argparse.Namespace) -> int:
     from repro.lineage import LineageStore
     from repro.perfdmf import PerfDMF
 
-    store = LineageStore(PerfDMF(args.db))
-    records = store.history(args.tip, limit=args.limit)
-    if args.json:
-        print(_json.dumps([r.to_dict() for r in records], indent=2))
+    with PerfDMF(args.db) as db:
+        store = LineageStore(db)
+        records = store.history(args.tip, limit=args.limit)
+        if args.json:
+            print(_json.dumps([r.to_dict() for r in records], indent=2))
+            return 0
+        if not records:
+            print("no versions recorded")
+            return 0
+        print(f"{'version':<20}{'parents':<24}{'code':<10}{'rulebase':<18}"
+              f"{'trials':>7}")
+        for r in records:
+            parents = ",".join(p[:12] for p in r.parents) or "(root)"
+            print(f"{r.short:<20}{parents:<24}{r.code_version:<10}"
+                  f"{r.rulebase_version:<18}{len(r.trials):>7}")
         return 0
-    if not records:
-        print("no versions recorded")
-        return 0
-    print(f"{'version':<20}{'parents':<24}{'code':<10}{'rulebase':<18}"
-          f"{'trials':>7}")
-    for r in records:
-        parents = ",".join(p[:12] for p in r.parents) or "(root)"
-        print(f"{r.short:<20}{parents:<24}{r.code_version:<10}"
-              f"{r.rulebase_version:<18}{len(r.trials):>7}")
-    return 0
 
 
 @_regress_errors
@@ -1060,30 +1064,31 @@ def _cmd_lineage_scan(args: argparse.Namespace) -> int:
     from repro.lineage import LineageStore, diagnose_lineage, scan_range
     from repro.perfdmf import PerfDMF
 
-    store = LineageStore(PerfDMF(args.db))
-    scan = scan_range(store, args.start, args.end,
-                      application=args.application,
-                      experiment=args.experiment,
-                      policy=_regress_policy(args))
-    harness = diagnose_lineage(scan)
-    if args.json:
-        payload = scan.to_dict()
-        payload["recommendations"] = [
-            dict(r.items()) for r in harness.recommendations()
-        ]
-        print(_json.dumps(payload, indent=2))
-    else:
-        for cmp_ in scan.comparisons:
-            marker = {"regressed": "!", "improved": "+"}.get(cmp_.verdict,
-                                                             " ")
-            print(f" {marker} {cmp_.parent} -> {cmp_.version}: "
-                  f"{cmp_.verdict} "
-                  f"({cmp_.report.total_relative_change:+.1%})")
-        if scan.gaps:
-            print(f"   gaps (no trial): {', '.join(scan.gaps)}")
-        for rec in harness.recommendations():
-            print(f" * [{rec.get('category')}] {rec.get('message')}")
-    return 1 if scan.regressions else 0
+    with PerfDMF(args.db) as db:
+        store = LineageStore(db)
+        scan = scan_range(store, args.start, args.end,
+                          application=args.application,
+                          experiment=args.experiment,
+                          policy=_regress_policy(args))
+        harness = diagnose_lineage(scan)
+        if args.json:
+            payload = scan.to_dict()
+            payload["recommendations"] = [
+                dict(r.items()) for r in harness.recommendations()
+            ]
+            print(_json.dumps(payload, indent=2))
+        else:
+            for cmp_ in scan.comparisons:
+                marker = {"regressed": "!", "improved": "+"}.get(cmp_.verdict,
+                                                                 " ")
+                print(f" {marker} {cmp_.parent} -> {cmp_.version}: "
+                      f"{cmp_.verdict} "
+                      f"({cmp_.report.total_relative_change:+.1%})")
+            if scan.gaps:
+                print(f"   gaps (no trial): {', '.join(scan.gaps)}")
+            for rec in harness.recommendations():
+                print(f" * [{rec.get('category')}] {rec.get('message')}")
+        return 1 if scan.regressions else 0
 
 
 @_regress_errors
@@ -1099,45 +1104,46 @@ def _cmd_lineage_bisect(args: argparse.Namespace) -> int:
         from repro.serve import SocketClient
 
         client = SocketClient(args.endpoint, timeout=args.client_timeout)
-    store = LineageStore(PerfDMF(args.db))
-    rigor = RigorPolicy(min_runs=args.min_runs, max_runs=args.max_runs,
-                        relative_halfwidth=args.rel_halfwidth)
-    bisector = PerfBisector(
-        store, client=client,
-        application=args.application, experiment=args.experiment,
-        policy=_regress_policy(args), rigor=rigor,
-        wait_timeout=args.client_timeout,
-    )
-    try:
-        result = bisector.bisect(args.good, args.bad)
-    finally:
-        if client is not None:
-            client.close()
-    if args.out:
-        with open(args.out, "w") as fh:
-            _json.dump(result.to_dict(), fh, indent=2)
-    if args.json:
-        print(_json.dumps(result.to_dict(), indent=2))
-        return 0 if result.status == "found" else 1
-    if result.status == "no-regression":
-        print(f"no regression between {result.good} and {result.bad} "
-              f"({result.probe_count} probe(s))")
-        return 1
-    print(f"first bad version: {result.first_bad} "
-          f"(last good: {result.last_good})")
-    if result.offending:
-        off = result.offending
-        print(f"  offending: {off['event']} [{off['metric']}] "
-              f"{off['relative_change']:+.1%} "
-              f"({off['severity']:.1%} of runtime)")
-    sources = {p.version: p.source for p in result.probes}
-    synthesized = sum(1 for s in sources.values() if s == "synthesized")
-    print(f"  probes: {result.probe_count}/{result.budget} budget "
-          f"({synthesized} synthesized, "
-          f"{len(sources) - synthesized} banked)")
-    for rec in result.recommendations:
-        print(f"  * [{rec.get('category')}] {rec.get('message')}")
-    return 0
+    with PerfDMF(args.db) as db:
+        store = LineageStore(db)
+        rigor = RigorPolicy(min_runs=args.min_runs, max_runs=args.max_runs,
+                            relative_halfwidth=args.rel_halfwidth)
+        bisector = PerfBisector(
+            store, client=client,
+            application=args.application, experiment=args.experiment,
+            policy=_regress_policy(args), rigor=rigor,
+            wait_timeout=args.client_timeout,
+        )
+        try:
+            result = bisector.bisect(args.good, args.bad)
+        finally:
+            if client is not None:
+                client.close()
+        if args.out:
+            with open(args.out, "w") as fh:
+                _json.dump(result.to_dict(), fh, indent=2)
+        if args.json:
+            print(_json.dumps(result.to_dict(), indent=2))
+            return 0 if result.status == "found" else 1
+        if result.status == "no-regression":
+            print(f"no regression between {result.good} and {result.bad} "
+                  f"({result.probe_count} probe(s))")
+            return 1
+        print(f"first bad version: {result.first_bad} "
+              f"(last good: {result.last_good})")
+        if result.offending:
+            off = result.offending
+            print(f"  offending: {off['event']} [{off['metric']}] "
+                  f"{off['relative_change']:+.1%} "
+                  f"({off['severity']:.1%} of runtime)")
+        sources = {p.version: p.source for p in result.probes}
+        synthesized = sum(1 for s in sources.values() if s == "synthesized")
+        print(f"  probes: {result.probe_count}/{result.budget} budget "
+              f"({synthesized} synthesized, "
+              f"{len(sources) - synthesized} banked)")
+        for rec in result.recommendations:
+            print(f"  * [{rec.get('category')}] {rec.get('message')}")
+        return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

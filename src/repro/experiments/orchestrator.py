@@ -37,7 +37,7 @@ from ..observe.context import TraceContext, make_span, new_span_id
 from ..rules import Fact
 from ..version import version_key
 from .rigor import Assessment, assess
-from .spec import Case, Plan
+from .spec import Case, Plan, rerun_of
 from .state import ExperimentState, TERMINAL_CASE_STATUSES
 
 __all__ = ["CaseOutcome", "ExperimentResult", "Orchestrator"]
@@ -450,7 +450,7 @@ class Orchestrator:
                 "params": {
                     "application": spec.application,
                     "experiment": spec.experiment_name,
-                    "trials": list(tracker.trials),
+                    "trials": sorted(tracker.trials, key=rerun_of),
                     "metric": spec.metric,
                     "key_event": spec.key_event,
                 },

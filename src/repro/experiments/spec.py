@@ -42,6 +42,7 @@ __all__ = [
     "SpecError",
     "case_rng",
     "case_seed",
+    "rerun_of",
 ]
 
 #: Applications the run-trial handler knows how to drive.
@@ -73,6 +74,13 @@ def case_rng(case_key: str, rerun: int = 0):
     import numpy as np
 
     return np.random.default_rng(case_seed(case_key, rerun))
+
+
+def rerun_of(trial_name: str) -> float:
+    """The rerun index in a run-trial name (``<case short>_r<n>``);
+    names without one order after every rerun."""
+    tail = trial_name.rpartition("_r")[2]
+    return int(tail) if tail.isdigit() else math.inf
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,11 @@ reruns are never re-executed.
 from __future__ import annotations
 
 import json
-import sqlite3
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
-from ..perfdmf import PerfDMF, ProfileError
+from ..perfdmf import PerfDMF, ProfileError, ensure_side_tables
 from .rigor import Assessment
 from .spec import Plan
 
@@ -77,49 +76,10 @@ CREATE INDEX IF NOT EXISTS idx_exp_case_run ON exp_case(run_id);
 _MIGRATIONS: dict[int, Any] = {}
 
 
-def _retry_locked(fn: Callable[[], Any], *, timeout: float = 5.0) -> Any:
-    """Run ``fn``, retrying on SQLITE_LOCKED/SQLITE_BUSY.
-
-    File-backed repositories resolve write contention via WAL plus the
-    busy timeout, but shared-cache ``:memory:`` databases (what an
-    in-process thread-mode service uses) raise table-lock errors
-    *immediately* while a worker holds a write — so the orchestrator's
-    bookkeeping writes retry briefly instead.
-    """
-    deadline = time.monotonic() + timeout
-    while True:
-        try:
-            return fn()
-        except sqlite3.OperationalError as exc:
-            msg = str(exc)
-            if ("locked" not in msg and "busy" not in msg) \
-                    or time.monotonic() >= deadline:
-                raise
-            time.sleep(0.005)
-
-
 def ensure_experiments_schema(db: PerfDMF) -> int:
     """Create or upgrade the experiments tables; returns the version."""
-    conn = db.connection
-    conn.executescript(_V1_TABLES)
-    row = conn.execute("SELECT version FROM exp_meta").fetchone()
-    if row is None:
-        conn.execute("INSERT INTO exp_meta (version) VALUES (?)",
-                     (EXPERIMENTS_SCHEMA_VERSION,))
-        version = EXPERIMENTS_SCHEMA_VERSION
-    else:
-        version = row[0]
-    if version > EXPERIMENTS_SCHEMA_VERSION:
-        raise ProfileError(
-            f"experiments schema version {version} is newer than this "
-            f"build supports ({EXPERIMENTS_SCHEMA_VERSION})"
-        )
-    while version < EXPERIMENTS_SCHEMA_VERSION:
-        _MIGRATIONS[version](conn)
-        version += 1
-        conn.execute("UPDATE exp_meta SET version = ?", (version,))
-    conn.commit()
-    return version
+    return ensure_side_tables(db, "exp_meta", _V1_TABLES,
+                              EXPERIMENTS_SCHEMA_VERSION, _MIGRATIONS)
 
 
 @dataclass(frozen=True)
@@ -172,13 +132,8 @@ class ExperimentState:
     def begin_run(self, plan: Plan) -> int:
         """Find or create the run row for this plan; insert any cases not
         yet recorded (idempotent — the resume entry point)."""
-        return _retry_locked(lambda: self._begin_run_txn(plan))
-
-    def _begin_run_txn(self, plan: Plan) -> int:
-        conn = self.db.connection
         spec = plan.spec
-        conn.execute("BEGIN IMMEDIATE")
-        try:
+        with self.db.write() as conn:
             row = conn.execute(
                 "SELECT id FROM exp_run WHERE spec_hash = ?",
                 (plan.spec_hash,),
@@ -208,10 +163,6 @@ class ExperimentState:
                 "WHERE run_id = ? AND status = 'running'",
                 (run_id,),
             )
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        conn.execute("COMMIT")
         return run_id
 
     def run_id_for(self, spec_hash: str) -> int | None:
@@ -272,15 +223,7 @@ class ExperimentState:
     def record_sample(self, run_id: int, case_key: str,
                       trial: str, value: float) -> None:
         """Bank one completed rerun (durable before the next submit)."""
-        _retry_locked(
-            lambda: self._record_sample_txn(run_id, case_key, trial, value)
-        )
-
-    def _record_sample_txn(self, run_id: int, case_key: str,
-                           trial: str, value: float) -> None:
-        conn = self.db.connection
-        conn.execute("BEGIN IMMEDIATE")
-        try:
+        with self.db.write() as conn:
             row = conn.execute(
                 "SELECT samples, trials FROM exp_case "
                 "WHERE run_id = ? AND case_key = ?", (run_id, case_key),
@@ -298,10 +241,6 @@ class ExperimentState:
                 (json.dumps(samples), json.dumps(trials), len(trials),
                  run_id, case_key),
             )
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        conn.execute("COMMIT")
 
     def finalize_case(self, run_id: int, case_key: str, status: str,
                       assessment: Assessment | None = None,
@@ -323,12 +262,8 @@ class ExperimentState:
             )
 
     def _exec(self, sql: str, params: tuple) -> None:
-        def txn():
-            conn = self.db.connection
+        with self.db.write() as conn:
             conn.execute(sql, params)
-            conn.commit()
-
-        _retry_locked(txn)
 
     # -- summaries ---------------------------------------------------------
     def summary(self, run_id: int) -> dict[str, Any]:

@@ -24,8 +24,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
-from ..experiments.state import _retry_locked
-from ..perfdmf import PerfDMF, ProfileError
+from ..perfdmf import PerfDMF, ProfileError, ensure_side_tables
 from ..version import version_key
 
 __all__ = [
@@ -79,26 +78,8 @@ _MIGRATIONS: dict[int, Any] = {}
 
 def ensure_lineage_schema(db: PerfDMF) -> int:
     """Create or upgrade the lineage tables; returns the version."""
-    conn = db.connection
-    conn.executescript(_V1_TABLES)
-    row = conn.execute("SELECT version FROM lineage_meta").fetchone()
-    if row is None:
-        conn.execute("INSERT INTO lineage_meta (version) VALUES (?)",
-                     (LINEAGE_SCHEMA_VERSION,))
-        version = LINEAGE_SCHEMA_VERSION
-    else:
-        version = row[0]
-    if version > LINEAGE_SCHEMA_VERSION:
-        raise ProfileError(
-            f"lineage schema version {version} is newer than this build "
-            f"supports ({LINEAGE_SCHEMA_VERSION})"
-        )
-    while version < LINEAGE_SCHEMA_VERSION:
-        _MIGRATIONS[version](conn)
-        version += 1
-        conn.execute("UPDATE lineage_meta SET version = ?", (version,))
-    conn.commit()
-    return version
+    return ensure_side_tables(db, "lineage_meta", _V1_TABLES,
+                              LINEAGE_SCHEMA_VERSION, _MIGRATIONS)
 
 
 @dataclass(frozen=True)
@@ -183,19 +164,9 @@ class LineageStore:
         if not version_id:
             raise ProfileError("lineage: version_id must be non-empty")
         vk = version_key(code_version, rulebase_version)
-        _retry_locked(lambda: self._record_txn(
-            version_id, tuple(parents), annotations or {},
-            vk.code, vk.rulebase,
-            time.time() if timestamp is None else float(timestamp),
-        ))
-        return self.get(version_id)
-
-    def _record_txn(self, version_id: str, parents: tuple[str, ...],
-                    annotations: dict[str, Any], code: str, rulebase: str,
-                    created_at: float) -> None:
-        conn = self.db.connection
-        conn.execute("BEGIN IMMEDIATE")
-        try:
+        annotations = annotations or {}
+        created_at = time.time() if timestamp is None else float(timestamp)
+        with self.db.write() as conn:
             row = conn.execute(
                 "SELECT id, annotations FROM lineage_version "
                 "WHERE version_id = ?", (version_id,),
@@ -205,7 +176,7 @@ class LineageStore:
                     "INSERT INTO lineage_version (version_id, code_version, "
                     "rulebase_version, created_at, annotations) "
                     "VALUES (?, ?, ?, ?, ?)",
-                    (version_id, code, rulebase, created_at,
+                    (version_id, vk.code, vk.rulebase, created_at,
                      json.dumps(annotations, sort_keys=True)),
                 )
                 child_row = cur.lastrowid
@@ -233,10 +204,7 @@ class LineageStore:
                     "(child_id, parent_id, ordinal) VALUES (?, ?, ?)",
                     (child_row, prow[0], ordinal),
                 )
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        conn.execute("COMMIT")
+        return self.get(version_id)
 
     def attach_trial(
         self, version_id: str, application: str, experiment: str,
@@ -248,42 +216,26 @@ class LineageStore:
             raise ProfileError(f"lineage: unknown trial role {role!r}")
         version_row = self._row_id(version_id)
         trial_id = self.db.trial_id(application, experiment, trial)
-
-        def txn() -> None:
-            conn = self.db.connection
+        with self.db.write() as conn:
             conn.execute(
                 "INSERT OR IGNORE INTO lineage_trial "
                 "(version_row, trial_id, role) VALUES (?, ?, ?)",
                 (version_row, trial_id, role),
             )
-            conn.commit()
-
-        _retry_locked(txn)
 
     def annotate(self, version_id: str, **annotations: Any) -> None:
         """Merge annotations into a recorded version."""
         row_id = self._row_id(version_id)
-
-        def txn() -> None:
-            conn = self.db.connection
-            conn.execute("BEGIN IMMEDIATE")
-            try:
-                current = json.loads(conn.execute(
-                    "SELECT annotations FROM lineage_version WHERE id = ?",
-                    (row_id,),
-                ).fetchone()[0])
-                current.update(annotations)
-                conn.execute(
-                    "UPDATE lineage_version SET annotations = ? "
-                    "WHERE id = ?",
-                    (json.dumps(current, sort_keys=True), row_id),
-                )
-            except BaseException:
-                conn.execute("ROLLBACK")
-                raise
-            conn.execute("COMMIT")
-
-        _retry_locked(txn)
+        with self.db.write() as conn:
+            current = json.loads(conn.execute(
+                "SELECT annotations FROM lineage_version WHERE id = ?",
+                (row_id,),
+            ).fetchone()[0])
+            current.update(annotations)
+            conn.execute(
+                "UPDATE lineage_version SET annotations = ? WHERE id = ?",
+                (json.dumps(current, sort_keys=True), row_id),
+            )
 
     # -- lookups -----------------------------------------------------------
     def _row_id(self, version_id: str) -> int:

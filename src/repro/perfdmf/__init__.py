@@ -6,7 +6,7 @@ SQLite-backed repository, and loaders for multiple profile formats (TAU
 text, JSON, CSV).
 """
 
-from .database import PerfDMF
+from .database import PerfDMF, ensure_side_tables
 from .loaders.csv_format import read_csv_profile, write_csv_profile
 from .loaders.gprof import parse_gprof_text, read_gprof_profile
 from .loaders.json_format import (
@@ -52,6 +52,7 @@ __all__ = [
     "Trial",
     "TrialBuilder",
     "Utilities",
+    "ensure_side_tables",
     "get_default_repository",
     "interval_experiment",
     "load_interval_trials",

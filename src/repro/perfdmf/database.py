@@ -17,9 +17,20 @@ Concurrency model (what :mod:`repro.serve` builds on):
   ``sqlite3`` connection (``connection`` property), so no connection is
   ever used from two threads at once and ``sqlite3.ProgrammingError``
   cannot arise from sharing.
-* **Writers serialize through WAL + busy_timeout.**  File-backed
-  repositories run in WAL mode so readers proceed while a writer commits;
-  ``busy_timeout`` makes contending writers queue instead of failing.
+* **One write path.**  Every write — trial saves and deletes, and the
+  side tables of :mod:`repro.regress`, :mod:`repro.experiments` and
+  :mod:`repro.lineage` — runs inside :meth:`PerfDMF.write`, a
+  write-locking transaction (``IMMEDIATE``) that rolls back on any
+  exception.  Side-table schemas are created and migrated through
+  :func:`ensure_side_tables` in one such scope.
+* **Writers queue instead of failing.**  File-backed repositories run in
+  WAL mode, so readers proceed while a writer commits, and a
+  ``busy_timeout`` of :data:`BUSY_TIMEOUT_MS` makes contending writers —
+  threads or worker processes — wait for the write lock.  In-memory
+  repositories use a process-shared cache (``cache=shared`` URI), where
+  SQLite reports table locks as SQLITE_LOCKED without consulting the busy
+  handler; there :meth:`PerfDMF.write` first takes a process-wide writer
+  lock keyed on the database, so writers queue in Python instead.
 * **Read-only snapshot views.**  :meth:`read_view` returns a repository
   over the same database whose connections are opened read-only
   (``query_only``), which is what analysis workers get so a buggy job
@@ -27,9 +38,8 @@ Concurrency model (what :mod:`repro.serve` builds on):
 * **Change notification.**  :meth:`add_change_listener` observes trial
   saves/deletes — the serve layer's result cache invalidates on these.
 
-In-memory repositories use a process-shared cache (``cache=shared`` URI)
-with a unique name per instance, so per-thread connections still see one
-database; real concurrent workloads should use a file-backed path.
+Each in-memory repository gets a unique shared-cache name, so per-thread
+connections still see one database.
 """
 
 from __future__ import annotations
@@ -39,9 +49,9 @@ import itertools
 import json
 import sqlite3
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -126,6 +136,28 @@ CREATE INDEX IF NOT EXISTS idx_callcount_thread ON callcount(thread_id);
 #: Unique names for shared-cache in-memory databases (one per instance).
 _MEMDB_IDS = itertools.count(1)
 
+#: How long a connection waits for another connection's write lock on a
+#: file-backed repository before raising "database is locked".
+BUSY_TIMEOUT_MS = 5_000
+
+#: Process-wide writer locks for shared-cache in-memory databases, keyed
+#: on the database URI (instances over one database share the lock).
+_MEMDB_WRITERS: dict[str, threading.RLock] = {}
+
+
+def _statements(script: str) -> Iterator[str]:
+    """Split a DDL script into statements (no two may share a line).
+
+    ``executescript`` would COMMIT any open transaction first, so DDL that
+    must share a :meth:`PerfDMF.write` scope runs statement by statement.
+    """
+    buf = ""
+    for line in script.splitlines(keepends=True):
+        buf += line
+        if sqlite3.complete_statement(buf):
+            yield buf
+            buf = ""
+
 
 class PerfDMF:
     """A PerfDMF repository.
@@ -139,9 +171,6 @@ class PerfDMF:
     read_only:
         Open every connection in query-only mode.  Writes raise
         ``sqlite3.OperationalError``; the schema must already exist.
-    busy_timeout_ms:
-        How long a connection waits on a locked database before giving
-        up — the knob that lets concurrent writers queue politely.
     """
 
     def __init__(
@@ -149,11 +178,9 @@ class PerfDMF:
         path: str | Path = ":memory:",
         *,
         read_only: bool = False,
-        busy_timeout_ms: int = 5_000,
     ) -> None:
         self._path = str(path)
         self._read_only = read_only
-        self._busy_timeout_ms = busy_timeout_ms
         self._memory = self._path == ":memory:" or "mode=memory" in self._path
         if self._path == ":memory:":
             # A plain :memory: connection is invisible to other connections;
@@ -161,6 +188,11 @@ class PerfDMF:
             # read-only views) all see the same database.
             self._path = f"file:repro-memdb-{next(_MEMDB_IDS)}" \
                          "?mode=memory&cache=shared"
+        # dict.setdefault is atomic, so racing constructors share one lock.
+        self._writer = (
+            _MEMDB_WRITERS.setdefault(self._path, threading.RLock())
+            if self._memory else nullcontext()
+        )
         self._local = threading.local()
         self._lock = threading.Lock()
         self._all_conns: list[sqlite3.Connection] = []
@@ -169,9 +201,11 @@ class PerfDMF:
         # The anchor connection: created eagerly so an in-memory database
         # outlives any individual thread, and so schema errors surface at
         # construction time.
-        anchor = self._connect()
+        self._connect()
         if not read_only:
-            anchor.executescript(_SCHEMA)
+            with self.write() as conn:
+                for stmt in _statements(_SCHEMA):
+                    conn.execute(stmt)
 
     # -- connection management -------------------------------------------
     def _connect(self) -> sqlite3.Connection:
@@ -188,11 +222,11 @@ class PerfDMF:
             target, isolation_level=None, uri=uri, check_same_thread=False
         )
         conn.execute("PRAGMA foreign_keys = ON")
-        conn.execute(f"PRAGMA busy_timeout = {int(self._busy_timeout_ms)}")
+        conn.execute(f"PRAGMA busy_timeout = {BUSY_TIMEOUT_MS}")
         if self._memory:
             # Shared-cache databases use table-level locks that the busy
-            # handler does not cover; uncommitted reads keep concurrent
-            # in-memory use best-effort rather than error-prone.
+            # handler does not cover: writers queue on self._writer, and
+            # uncommitted reads keep readers from taking table locks.
             conn.execute("PRAGMA read_uncommitted = ON")
         else:
             if not self._read_only:
@@ -242,22 +276,27 @@ class PerfDMF:
         This is what analysis workers get: snapshot connections that can
         load trials but cannot mutate the store.
         """
-        return PerfDMF(
-            self._path, read_only=True,
-            busy_timeout_ms=self._busy_timeout_ms,
-        )
+        return PerfDMF(self._path, read_only=True)
 
     @contextmanager
-    def _transaction(self):
-        """Explicit transaction scope; rolls back on any exception."""
+    def write(self) -> Iterator[sqlite3.Connection]:
+        """The repository's one write transaction scope.
+
+        Yields the calling thread's connection inside ``BEGIN IMMEDIATE``;
+        commits on exit and rolls back on any exception.  Writers to an
+        in-memory repository first queue on its process-wide writer lock;
+        file-backed writers queue in SQLite (WAL plus ``busy_timeout``).
+        Scopes do not nest.
+        """
         conn = self.connection
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            yield
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        conn.execute("COMMIT")
+        with self._writer:
+            conn.execute("BEGIN IMMEDIATE")
+            try:
+                yield conn
+            except BaseException:
+                conn.execute("ROLLBACK")
+                raise
+            conn.execute("COMMIT")
 
     def close(self) -> None:
         with self._lock:
@@ -330,7 +369,7 @@ class PerfDMF:
             experiment=experiment, trial=trial.name,
             events=trial.event_count, threads=trial.thread_count,
             metrics=len(trial.metrics), replace=replace,
-        ) as sp, self._transaction():
+        ) as sp, self.write():
             app_id = self._get_or_create("application", {"name": application})
             exp_id = self._get_or_create("experiment", {"app_id": app_id, "name": experiment})
             existing = conn.execute(
@@ -545,8 +584,8 @@ class PerfDMF:
         trial_id, _ = self._trial_row(application, experiment, trial)
         with observe.span("perfdmf.delete_trial", application=application,
                           experiment=experiment, trial=trial), \
-                self._transaction():
-            self.connection.execute("DELETE FROM trial WHERE id = ?", (trial_id,))
+                self.write() as conn:
+            conn.execute("DELETE FROM trial WHERE id = ?", (trial_id,))
             _stmt("delete", 1)
         self._notify("delete", application, experiment, trial)
 
@@ -557,3 +596,41 @@ class PerfDMF:
     def trial_id(self, application: str, experiment: str, trial: str) -> int:
         """The integer primary key of a stored trial (raises if absent)."""
         return self._trial_row(application, experiment, trial)[0]
+
+
+def ensure_side_tables(
+    db: PerfDMF,
+    meta_table: str,
+    v1_ddl: str,
+    version: int,
+    migrations: Mapping[int, Callable[[sqlite3.Connection], None]],
+) -> int:
+    """Create or upgrade one subsystem's side tables; returns the version.
+
+    Subsystems that keep their own tables in a repository (regress
+    baselines, experiment state, lineage) version them independently of
+    the core schema in a one-row ``meta_table`` that ``v1_ddl`` creates.
+    A fresh repository gets ``v1_ddl`` at version 1; ``migrations[n]``
+    upgrades version n to n + 1 until ``version`` is reached, and a
+    repository newer than ``version`` is refused with
+    :class:`ProfileError`.  Everything runs in one :meth:`PerfDMF.write`
+    scope, so a failing migration leaves the DDL and the version row as
+    they were.
+    """
+    with db.write() as conn:
+        for stmt in _statements(v1_ddl):
+            conn.execute(stmt)
+        row = conn.execute(f"SELECT version FROM {meta_table}").fetchone()
+        if row is None:
+            conn.execute(f"INSERT INTO {meta_table} (version) VALUES (1)")
+        current = 1 if row is None else row[0]
+        if current > version:
+            raise ProfileError(
+                f"{meta_table}: schema version {current} is newer than "
+                f"this build supports ({version})"
+            )
+        while current < version:
+            migrations[current](conn)
+            current += 1
+            conn.execute(f"UPDATE {meta_table} SET version = ?", (current,))
+    return current

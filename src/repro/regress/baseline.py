@@ -17,7 +17,7 @@ from __future__ import annotations
 import sqlite3
 from dataclasses import dataclass
 
-from ..perfdmf import PerfDMF, ProfileError, Trial
+from ..perfdmf import PerfDMF, ProfileError, Trial, ensure_side_tables
 
 #: Current version of the regress-side schema.
 REGRESS_SCHEMA_VERSION = 2
@@ -50,24 +50,8 @@ _MIGRATIONS = {
 
 def ensure_regress_schema(db: PerfDMF) -> int:
     """Create or upgrade the regress tables; returns the resulting version."""
-    conn = db.connection
-    conn.executescript(_V1_TABLES)
-    row = conn.execute("SELECT version FROM regress_meta").fetchone()
-    if row is None:
-        conn.execute("INSERT INTO regress_meta (version) VALUES (?)", (1,))
-        version = 1
-    else:
-        version = row[0]
-    if version > REGRESS_SCHEMA_VERSION:
-        raise ProfileError(
-            f"regress schema version {version} is newer than this build "
-            f"supports ({REGRESS_SCHEMA_VERSION})"
-        )
-    while version < REGRESS_SCHEMA_VERSION:
-        _MIGRATIONS[version](conn)
-        version += 1
-        conn.execute("UPDATE regress_meta SET version = ?", (version,))
-    return version
+    return ensure_side_tables(db, "regress_meta", _V1_TABLES,
+                              REGRESS_SCHEMA_VERSION, _MIGRATIONS)
 
 
 @dataclass(frozen=True)
@@ -117,9 +101,7 @@ class BaselineRegistry:
         """
         exp_id = self._exp_id(application, experiment)
         trial_id = self.db.trial_id(application, experiment, trial)
-        conn = self.db.connection
-        conn.execute("BEGIN IMMEDIATE")
-        try:
+        with self.db.write() as conn:
             conn.execute(
                 "UPDATE baseline SET active = 0 WHERE exp_id = ?", (exp_id,)
             )
@@ -128,10 +110,6 @@ class BaselineRegistry:
                 "VALUES (?, ?, 1, ?)",
                 (exp_id, trial_id, reason),
             )
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        conn.execute("COMMIT")
 
     def baseline_name(self, application: str, experiment: str) -> str | None:
         """Name of the active baseline trial, or None when unset."""

@@ -38,7 +38,12 @@ class OpenMPError(Exception):
 
 @dataclass(frozen=True)
 class Schedule:
-    """An OpenMP ``schedule(kind[, chunk])`` clause."""
+    """An OpenMP ``schedule(kind[, chunk])`` clause.
+
+    ``schedule(runtime)`` defers the choice to the run-sched-var, whose
+    initial value OpenMP leaves to the implementation; the simulated
+    runtime has no ``OMP_SCHEDULE`` and resolves it to ``static``.
+    """
 
     kind: str = "static"
     chunk: int | None = None
@@ -46,6 +51,8 @@ class Schedule:
     VALID_KINDS = ("static", "dynamic", "guided")
 
     def __post_init__(self) -> None:
+        if self.kind == "runtime":
+            object.__setattr__(self, "kind", "static")
         if self.kind not in self.VALID_KINDS:
             raise OpenMPError(
                 f"unknown schedule kind {self.kind!r}; expected {self.VALID_KINDS}"

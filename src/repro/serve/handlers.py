@@ -12,7 +12,7 @@ Cache metadata lives on the registration: ``cacheable`` kinds declare
 and the service folds those trials' content hashes into the cache key.
 
 Raise :class:`~repro.serve.jobs.TransientJobError` for failures worth a
-retry-with-backoff (lock contention, flaky I/O); anything else fails the
+retry-with-backoff (flaky I/O, injected faults); anything else fails the
 job immediately.
 """
 
@@ -411,20 +411,7 @@ def run_trial_job(
     from ..version import version_key
 
     version_key(code_version, rulebase_version).stamp(trial.metadata)
-    import sqlite3
-
-    try:
-        ctx.db.save_trial(application, experiment, trial, replace=True)
-    except sqlite3.OperationalError as exc:
-        if "locked" in str(exc) or "busy" in str(exc):
-            # Write contention with the orchestrator's bookkeeping (or a
-            # sibling worker) — transient by definition, retry-worthy.
-            raise TransientJobError(
-                f"repository busy storing {name!r}: {exc}",
-                reason={"kind": "run-trial", "case_key": case_key,
-                        "rerun": rerun, "trial": name},
-            ) from None
-        raise
+    ctx.db.save_trial(application, experiment, trial, replace=True)
     if not trial.has_metric(metric):
         raise AnalysisError(
             f"run-trial: trial has no metric {metric!r} "
@@ -455,23 +442,22 @@ def analyze_case_job(
     key_event: str = "main",
 ) -> dict[str, Any]:
     """Collect one converged case: per-run key-metric values plus a
-    knowledge-based diagnosis of the first run (against the snapshot
-    view — this kind never writes)."""
+    knowledge-based diagnosis of its lowest rerun (``_r0``), whatever
+    order the reruns finished in (against the snapshot view — this kind
+    never writes)."""
+    from ..experiments.spec import rerun_of
     from ..knowledge.rulebase import diagnose_load_balance
 
     if not trials:
         raise AnalysisError("analyze-case: no trials to analyze")
-    values = []
-    first = None
-    for tname in trials:
-        trial = ctx.db.load_trial(application, experiment, tname)
-        if first is None:
-            first = trial
-        values.append(float(
-            trial.inclusive_array(metric)[trial.event_index(key_event)]
-            .mean()
-        ))
-    harness = diagnose_load_balance(first)
+    loaded = {t: ctx.db.load_trial(application, experiment, t)
+              for t in trials}
+    values = [
+        float(trial.inclusive_array(metric)[trial.event_index(key_event)]
+              .mean())
+        for trial in (loaded[t] for t in trials)
+    ]
+    harness = diagnose_load_balance(loaded[min(trials, key=rerun_of)])
     return {
         "trials": list(trials),
         "metric": metric,

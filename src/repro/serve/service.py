@@ -107,7 +107,6 @@ class ServeConfig:
     max_retries: int = 2
     backoff: float = 0.05
     cache_entries: int = 512
-    busy_timeout_ms: int = 5_000
     #: Distributed-trace stitching: every job carries a trace context and
     #: accumulates wall-clock timeline spans (client → queue → worker →
     #: handler → cache).  Off switches the whole subsystem to no-ops.
@@ -147,7 +146,7 @@ class AnalysisService:
         if self.pool is not None:
             return self
         cfg = self.config
-        self._db = PerfDMF(cfg.db_path, busy_timeout_ms=cfg.busy_timeout_ms)
+        self._db = PerfDMF(cfg.db_path)
         self._db_ro = self._db.read_view()
         self.cache.attach(self._db)
         self.pool = WorkerPool(

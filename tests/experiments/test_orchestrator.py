@@ -57,11 +57,11 @@ class TestEndToEnd:
         result = run_experiment(quiet_spec(), workers=2)
         for outcome in result.outcomes:
             assert outcome.analysis is not None
-            # Completion order varies with worker scheduling; the set
-            # of analyzed trials is what matters.
-            assert set(outcome.analysis["trials"]) == {
+            # Completion order varies with worker scheduling; the
+            # analysis gets the reruns in rerun order regardless.
+            assert outcome.analysis["trials"] == [
                 f"{outcome.short}_r{n}" for n in range(outcome.runs)
-            }
+            ]
 
     def test_analyze_false_skips_the_analysis_job(self):
         result = run_experiment(quiet_spec(), workers=2, analyze=False)
@@ -228,3 +228,44 @@ class TestDeterminism:
                 results.append(job.result)
         assert results[0]["seed"] != results[1]["seed"]
         assert results[0]["content_hash"] != results[1]["content_hash"]
+
+    def test_analyze_case_diagnoses_rerun_zero_in_any_order(self):
+        # Reruns finish in worker order; the diagnosis must not follow it.
+        from itertools import permutations
+
+        from repro.serve import AnalysisService
+
+        spec = quiet_spec(
+            name="shuffled",
+            factors={"scale": [1.0], "threads": [8], "imbalance": [2.0]},
+            rigor=RigorPolicy(min_runs=3, max_runs=3,
+                              relative_halfwidth=0.5, noise=0.2),
+        )
+        case = spec.expand().cases[0]
+        where = {"application": spec.application,
+                 "experiment": spec.experiment_name}
+
+        def run(svc, kind, params):
+            job = svc.submit(kind, {**where, **params})
+            assert job.wait(30.0) and job.status == "done", job.error
+            return job.result
+
+        with AnalysisService(workers=1) as svc:
+            names = [run(svc, "run-trial", {
+                "app": spec.app, "case_key": case.key, "rerun": rerun,
+                "factors": dict(case.factors), "noise": spec.rigor.noise,
+                "spec": spec.name,
+            })["trial"] for rerun in range(3)]
+            alone = [run(svc, "analyze-case", {"trials": [n]})
+                     for n in names]
+            # The reruns really diagnose differently, so order matters.
+            assert any(a["recommendations"] != alone[0]["recommendations"]
+                       for a in alone[1:])
+            for order in permutations(names):
+                result = run(svc, "analyze-case", {"trials": list(order)})
+                assert result["recommendations"] == \
+                    alone[0]["recommendations"]
+                assert result["trials"] == list(order)
+                assert result["values"] == [
+                    alone[names.index(n)]["values"][0] for n in order
+                ]

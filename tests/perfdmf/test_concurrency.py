@@ -2,17 +2,23 @@
 
 Regression tests for the failure modes the service exposed: sqlite
 connections crossing threads (``sqlite3.ProgrammingError``) and writer
-contention ("database is locked").  A file-backed repository must
-survive many reader threads racing one writer with neither error.
+contention ("database is locked", "database table is locked").  Every
+backend must survive many readers and writers — trial stores and the
+side-table bookkeeping of experiments and lineage — with neither error.
 """
 
 import sqlite3
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
+from repro.experiments import ExperimentSpec, ExperimentState, RigorPolicy
+from repro.lineage import LineageStore
 from repro.perfdmf import PerfDMF, ProfileError, TrialBuilder
+from repro.serve import AnalysisService
 
 
 def make_trial(name, scale=1.0, threads=4):
@@ -183,3 +189,100 @@ class TestChangeListeners:
         assert deletes == [("delete", "c0")]
         file_db.save_trial("A", "E", make_trial("quiet"))
         assert len(events) == 5  # removed listener stays quiet
+
+
+class TestWriteScope:
+    def test_commits_on_exit(self):
+        with PerfDMF() as db:
+            with db.write() as conn:
+                conn.execute("INSERT INTO application (name) VALUES ('A')")
+            assert db.applications() == ["A"]
+
+    def test_rolls_back_on_exception(self):
+        with PerfDMF() as db:
+            with pytest.raises(RuntimeError):
+                with db.write() as conn:
+                    conn.execute(
+                        "INSERT INTO application (name) VALUES ('A')")
+                    raise RuntimeError("abort")
+            assert db.applications() == []
+            assert not db.connection.in_transaction
+
+
+#: Trial-writing workers, cases and reruns in the writer race below.
+WRITERS = 3
+CASES = 3
+RERUNS = 4
+
+
+class TestOneWritePath:
+    """Trial writers race the orchestrator's bookkeeping on one repository.
+
+    Workers store each case rerun twice (the second store replaces the
+    first) while the calling thread records experiment samples and
+    lineage versions against the same database.  Every write goes
+    through ``PerfDMF.write``, so none may fail and nothing may be lost;
+    retries are off so a lock error cannot hide behind one.
+    """
+
+    @pytest.mark.parametrize("backend,mode", [
+        ("memory", "thread"), ("file", "thread"), ("file", "process"),
+    ])
+    def test_trial_writers_race_state_and_lineage(self, tmp_path,
+                                                  backend, mode):
+        spec = ExperimentSpec(
+            name="race", app="synthetic",
+            factors={"scale": [float(n + 1) for n in range(CASES)],
+                     "threads": [16]},
+            rigor=RigorPolicy(min_runs=1, max_runs=RERUNS, noise=0.1),
+        )
+        plan = spec.expand()
+        db_path = ":memory:" if backend == "memory" \
+            else str(tmp_path / "perf.db")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the writer threads finely
+        try:
+            self._race(spec, plan, db_path, mode)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def _race(self, spec, plan, db_path, mode):
+        with AnalysisService(db_path=db_path, mode=mode, workers=WRITERS,
+                             max_retries=0) as svc:
+            db = svc.db
+            db.save_trial("A", "E", make_trial("t0"))
+            state = ExperimentState(db)
+            store = LineageStore(db)
+            run_id = state.begin_run(plan)
+            jobs = [svc.submit("run-trial", {
+                "app": spec.app, "application": spec.application,
+                "experiment": spec.experiment_name, "case_key": case.key,
+                "rerun": rerun, "factors": dict(case.factors),
+                "noise": spec.rigor.noise, "spec": spec.name,
+            }) for _ in range(2) for case in plan.cases
+                for rerun in range(RERUNS)]
+            rounds = 0
+            deadline = time.monotonic() + 120.0
+            while rounds < 8 or not all(job.done for job in jobs):
+                assert time.monotonic() < deadline, "writers never finished"
+                case = plan.cases[rounds % CASES]
+                vid = f"v{rounds}"
+                state.mark_running(run_id, case.key)
+                state.record_sample(run_id, case.key, vid, float(rounds))
+                store.record(vid, parents=[f"v{rounds - 1}"] if rounds
+                             else [])
+                store.attach_trial(vid, "A", "E", "t0")
+                store.annotate(vid, round=rounds)
+                rounds += 1
+            failed = [job.error for job in jobs if job.status != "done"]
+            assert failed == [], failed[0]
+            expected = {f"{case.short}_r{rerun}" for case in plan.cases
+                        for rerun in range(RERUNS)}
+            assert set(db.trials(spec.application,
+                                 spec.experiment_name)) == expected
+            assert len(store) == rounds
+            assert store.get(f"v{rounds - 1}").annotations == \
+                {"round": rounds - 1}
+            banked = sum(state.case(run_id, case.key).runs
+                         for case in plan.cases)
+            assert banked == rounds

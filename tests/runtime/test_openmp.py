@@ -43,6 +43,15 @@ class TestSchedule:
         assert Schedule.parse("dynamic,4") == Schedule("dynamic", 4)
         assert str(Schedule("dynamic", 1)) == "dynamic,1"
 
+    def test_runtime_resolves_to_static(self):
+        # No OMP_SCHEDULE in the simulator: run-sched-var keeps its
+        # implementation-defined initial value, static.
+        assert Schedule("runtime") == Schedule("static")
+        assert Schedule.parse("runtime") == Schedule("static")
+        r, _ = run_loop(uniform_tasks(8), 4, "runtime")
+        assert r.schedule == Schedule("static")
+        assert r.chunks == run_loop(uniform_tasks(8), 4, "static")[0].chunks
+
     @pytest.mark.parametrize("bad", ["banana", "dynamic,x", "a,b,c", "dynamic,0"])
     def test_parse_rejects(self, bad):
         with pytest.raises(OpenMPError):
